@@ -13,7 +13,6 @@
 //	fleccbench -exp wire                # E13: wire-path micro-benchmarks
 //	fleccbench -exp conflict            # E16: conflict-index micro-benchmarks
 //	fleccbench -exp ha                  # E17: hot-standby replication micro-benchmarks
-//	fleccbench -exp scale               # E18: conflict-group-striped commit throughput
 //	fleccbench -exp all                 # everything
 //
 // Figure parameters can be scaled with -agents/-ops; the defaults are the
@@ -34,7 +33,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: fig4, fig5, fig6, ablation-conflict, ablation-rw, ablation-peer, ablation-propagation, buyermix, wire, conflict, ha, scale, all")
+		exp     = flag.String("exp", "all", "experiment: fig4, fig5, fig6, ablation-conflict, ablation-rw, ablation-peer, ablation-propagation, buyermix, wire, conflict, ha, all")
 		agents  = flag.Int("agents", 0, "override agent count (0 = paper default); for -exp conflict, caps the largest view-table size")
 		ops     = flag.Int("ops", 0, "override per-agent/per-phase op count (0 = paper default)")
 		check   = flag.Bool("check", true, "verify the qualitative shape of each result")
@@ -84,10 +83,8 @@ func run(exp string, agents, ops int, check, jsonOut bool, out string) error {
 		return runConflict(benchDest(jsonOut, out, "BENCH_conflict.json"), agents)
 	case "ha":
 		return runHA(benchDest(jsonOut, out, "BENCH_ha.json"))
-	case "scale":
-		return runScale(benchDest(jsonOut, out, "BENCH_scale.json"), agents, ops)
 	case "all":
-		for _, e := range []string{"fig4", "fig5", "fig6", "ablation-conflict", "ablation-rw", "ablation-peer", "ablation-propagation", "buyermix", "wire", "conflict", "ha", "scale"} {
+		for _, e := range []string{"fig4", "fig5", "fig6", "ablation-conflict", "ablation-rw", "ablation-peer", "ablation-propagation", "buyermix", "wire", "conflict", "ha"} {
 			if err := run(e, agents, ops, check, jsonOut, out); err != nil {
 				return err
 			}

@@ -51,7 +51,6 @@ func main() {
 		faultDelay   = flag.Duration("fault-delay", 0, "inject faults: fixed delay added before delivering each message")
 		faultSeed    = flag.Int64("fault-seed", 1, "seed for the fault injector's random stream (deterministic runs)")
 		fanOut       = flag.Int("fanout", 0, "max concurrent views contacted per invalidate/gather/propagate round (0 = directory default, 1 = serial)")
-		lanes        = flag.Int("lanes", 0, "conflict-group execution lanes: commits of disjoint conflict groups run in parallel (0 or 1 = serial)")
 		compactEvery = flag.Duration("compact-every", 0, "update-log compaction interval (0 disables)")
 		debugAddr    = flag.String("debug-addr", "", "serve observability HTTP on this address: /metrics (text or ?format=json), /trace, /spans, /debug/pprof (empty disables)")
 		standby      = flag.Bool("standby", false, "run as a hot standby: refuse client traffic until promoted (pair with a primary's -replicate-to; single-DM mode)")
@@ -60,7 +59,7 @@ func main() {
 	)
 	flag.Parse()
 	if err := run(*addr, *name, *flights, *capacity, *shards, *interval, *key, *ckptPath, *ckptEvery,
-		faultOpts{drop: *faultDrop, delay: *faultDelay, seed: *faultSeed}, *fanOut, *lanes, *compactEvery, *debugAddr,
+		faultOpts{drop: *faultDrop, delay: *faultDelay, seed: *faultSeed}, *fanOut, *compactEvery, *debugAddr,
 		haOpts{standby: *standby, replicateTo: *replicateTo, lease: *haLease}); err != nil {
 		fmt.Fprintln(os.Stderr, "fleccd:", err)
 		os.Exit(1)
@@ -76,7 +75,7 @@ type faultOpts struct {
 
 func (f faultOpts) enabled() bool { return f.drop > 0 || f.delay > 0 }
 
-func run(addr, name string, flights, capacity, shards int, statusEvery time.Duration, key, ckptPath string, ckptEvery time.Duration, faults faultOpts, fanOut, lanes int, compactEvery time.Duration, debugAddr string, ha haOpts) error {
+func run(addr, name string, flights, capacity, shards int, statusEvery time.Duration, key, ckptPath string, ckptEvery time.Duration, faults faultOpts, fanOut int, compactEvery time.Duration, debugAddr string, ha haOpts) error {
 	if shards < 1 {
 		return fmt.Errorf("-shards must be >= 1")
 	}
@@ -115,10 +114,7 @@ func run(addr, name string, flights, capacity, shards int, statusEvery time.Dura
 	// (the DM's view calls and, in sharded mode, the router's shard
 	// calls), so identically seeded runs replay the same backoffs.
 	retry := transport.RetryPolicy{Jitter: 0.2, Rand: transport.NewRand(faults.seed)}
-	opts := directory.Options{Resolver: airline.SeatResolver, FanOut: fanOut, Lanes: lanes, Retry: retry}
-	if lanes > 1 {
-		log.Printf("fleccd: conflict-group striping on (%d lanes)", lanes)
-	}
+	opts := directory.Options{Resolver: airline.SeatResolver, FanOut: fanOut, Retry: retry}
 
 	if ha.standby {
 		opts.Standby = true

@@ -133,7 +133,6 @@ type sysConfig struct {
 	resolver  image.Resolver
 	readAware bool
 	fanOut    int
-	lanes     int
 	stats     bool
 	trace     bool
 	traceCap  int
@@ -165,17 +164,6 @@ func WithReadAware() Option {
 // directory.DefaultFanOut).
 func WithFanOut(n int) Option {
 	return func(c *sysConfig) { c.fanOut = n }
-}
-
-// WithLanes enables conflict-group-striped execution at the directory
-// manager: commits from disjoint conflict groups run through n parallel
-// execution lanes, with the store's per-key metadata striped and codec
-// calls moved outside global locks. Requests within one conflict group
-// keep arrival order. The default (0 or 1) is the serial path —
-// byte-identical protocol behavior, which the deterministic experiment
-// harness relies on.
-func WithLanes(n int) Option {
-	return func(c *sysConfig) { c.lanes = n }
 }
 
 // WithMessageStats enables message counting (see System.Messages).
@@ -231,7 +219,6 @@ func New(name string, primary Codec, opts ...Option) (*System, error) {
 		Resolver:  cfg.resolver,
 		ReadAware: cfg.readAware,
 		FanOut:    fanOut,
-		Lanes:     cfg.lanes,
 	})
 	if err != nil {
 		return nil, err

@@ -81,15 +81,6 @@ type Options struct {
 	// self-test seeds a skipped-invalidation bug through it and proves
 	// the checker renders the resulting violation.
 	InvalFilter func(requester string, targets []string) []string
-	// Lanes enables conflict-group-striped execution (lanes.go,
-	// stripe.go): commits from disjoint conflict groups run through
-	// separate execution lanes in parallel, with the store's per-key
-	// metadata striped and codec calls moved outside global locks.
-	// Requests within one conflict group keep today's arrival order.
-	// 0 or 1 keeps the serial path — byte-identical behavior, which the
-	// deterministic experiment harness and the model checker rely on.
-	// Real deployments opt in via flecc.WithLanes / fleccd -lanes.
-	Lanes int
 }
 
 // DefaultFanOut is the fan-out bound applied when Options.FanOut is 0.
@@ -137,10 +128,6 @@ type Manager struct {
 	vmu   sync.RWMutex
 	views map[string]*viewState
 
-	// lanes is the conflict-group execution-lane table (lanes.go); nil
-	// unless Options.Lanes > 1.
-	lanes *laneSet
-
 	// ha is the hot-standby replication state (replicate.go): role,
 	// fencing epoch, attached replicator, and the batch-visible state
 	// generation every mutating handler bumps.
@@ -165,10 +152,6 @@ func New(name string, primary image.Codec, clock vclock.Clock, net transport.Net
 	}
 	if opts.Resolver != nil {
 		m.store.SetResolver(opts.Resolver)
-	}
-	if opts.Lanes > 1 {
-		m.store.EnableStriping()
-		m.lanes = newLaneSet(m, opts.Lanes)
 	}
 	if opts.Snapshot != nil {
 		if err := m.store.Restore(opts.Snapshot); err != nil {
@@ -271,9 +254,7 @@ func (m *Manager) handle(req *wire.Message) *wire.Message {
 	case wire.TRegister, wire.TRouted, wire.TMigrateTake, wire.TMigrateApply, wire.TReplicate:
 	default:
 		if req.From != "" && m.reg.Lost(req.From) {
-			// Revival adds conflict edges back; in laned mode it drains
-			// the execution lanes like any structural change.
-			m.structuralDo(func() { m.reg.SetLost(req.From, false) })
+			m.reg.SetLost(req.From, false)
 		}
 	}
 	switch req.Type {
@@ -317,20 +298,16 @@ func (m *Manager) handleRegister(req *wire.Message) *wire.Message {
 	if err != nil {
 		return errf("bad validity trigger for %s: %v", view, err)
 	}
-	// Registration changes the conflict structure (it can add edges), so
-	// in laned mode it drains the execution lanes first.
-	return m.structural(func() *wire.Message {
-		if m.reg.Has(view) {
-			return m.reRegister(view, req, val)
-		}
-		if err := m.reg.Register(view, req.Props); err != nil {
-			return errf("%v", err)
-		}
-		m.vmu.Lock()
-		m.views[view] = &viewState{name: view, mode: req.Mode, validity: val, lastOp: req.Op}
-		m.vmu.Unlock()
-		return m.synced(&wire.Message{Type: wire.TAck, Version: m.store.Current()})
-	})
+	if m.reg.Has(view) {
+		return m.reRegister(view, req, val)
+	}
+	if err := m.reg.Register(view, req.Props); err != nil {
+		return errf("%v", err)
+	}
+	m.vmu.Lock()
+	m.views[view] = &viewState{name: view, mode: req.Mode, validity: val, lastOp: req.Op}
+	m.vmu.Unlock()
+	return m.synced(&wire.Message{Type: wire.TAck, Version: m.store.Current()})
 }
 
 // reRegister handles a register for a name that is already on the books.
@@ -369,13 +346,11 @@ func (m *Manager) reRegister(view string, req *wire.Message, val trigger.Trigger
 
 func (m *Manager) handleUnregister(req *wire.Message) *wire.Message {
 	view := req.From
-	return m.structural(func() *wire.Message {
-		m.reg.Unregister(view)
-		m.vmu.Lock()
-		delete(m.views, view)
-		m.vmu.Unlock()
-		return m.synced(&wire.Message{Type: wire.TAck})
-	})
+	m.reg.Unregister(view)
+	m.vmu.Lock()
+	delete(m.views, view)
+	m.vmu.Unlock()
+	return m.synced(&wire.Message{Type: wire.TAck})
 }
 
 func (m *Manager) viewState(view string) (*viewState, bool) {
@@ -689,10 +664,7 @@ func (m *Manager) commitReply(writer string, reply *wire.Message) error {
 	// Rejected winners are not pushed back here: invalidated views must
 	// pull before their next use anyway, and fetched views will see the
 	// winning values on their next pull.
-	var err error
-	m.withCommitLane(writer, func() {
-		_, _, _, err = m.store.Commit(writer, reply.Img, int(reply.Ops))
-	})
+	_, _, _, err := m.store.Commit(writer, reply.Img, int(reply.Ops))
 	return err
 }
 
@@ -703,16 +675,7 @@ func (m *Manager) handlePush(req *wire.Message) *wire.Message {
 	if _, ok := m.viewState(view); !ok {
 		return errf("push from unregistered view %s", view)
 	}
-	var (
-		ver      vclock.Version
-		rejected *image.Image
-		err      error
-	)
-	// The pusher's execution lane serializes this commit against its own
-	// conflict group only; disjoint groups commit in parallel.
-	m.withCommitLane(view, func() {
-		ver, _, rejected, err = m.store.Commit(view, req.Img, int(req.Ops))
-	})
+	ver, _, rejected, err := m.store.Commit(view, req.Img, int(req.Ops))
 	if err != nil {
 		return errf("%v", err)
 	}
@@ -814,14 +777,10 @@ func (m *Manager) handleSetMode(req *wire.Message) *wire.Message {
 }
 
 func (m *Manager) handleSetProps(req *wire.Message) *wire.Message {
-	// A property change rewires conflict groups; drain the lanes so no
-	// commit runs under the group map it invalidates.
-	return m.structural(func() *wire.Message {
-		if err := m.reg.SetProps(req.From, req.Props); err != nil {
-			return errf("%v", err)
-		}
-		return m.synced(&wire.Message{Type: wire.TAck})
-	})
+	if err := m.reg.SetProps(req.From, req.Props); err != nil {
+		return errf("%v", err)
+	}
+	return m.synced(&wire.Message{Type: wire.TAck})
 }
 
 // CompactLog drops update-log records that every registered view has
@@ -919,20 +878,14 @@ func (m *Manager) ActiveViews() []string {
 // SeedStatic installs a static conflict-map entry (1/0/-1) before or after
 // views register.
 func (m *Manager) SeedStatic(a, b string, rel registry.Relation) {
-	m.structuralDo(func() { m.reg.SetStatic(a, b, rel) })
+	m.reg.SetStatic(a, b, rel)
 }
 
 // CommitLocal lets the original component itself commit an update (e.g. an
 // administrative change to the primary data). It is also used by tests.
 // Like pushed commits, it barriers on replication before returning.
 func (m *Manager) CommitLocal(delta *image.Image, ops int) (vclock.Version, error) {
-	var (
-		v   vclock.Version
-		err error
-	)
-	// A primary-local commit has no conflict group (it may touch any
-	// keys), so in laned mode it runs exclusively — all lanes drained.
-	m.structuralDo(func() { v, _, _, err = m.store.Commit("", delta, ops) })
+	v, _, _, err := m.store.Commit("", delta, ops)
 	if err != nil {
 		return v, err
 	}

@@ -78,14 +78,12 @@ func (m *Manager) TakeHandover(names []string) (*Handover, error) {
 		rec.Active = m.reg.Active(n)
 		h.Views = append(h.Views, rec)
 	}
-	m.structuralDo(func() {
-		for _, n := range names {
-			m.reg.Unregister(n)
-			m.vmu.Lock()
-			delete(m.views, n)
-			m.vmu.Unlock()
-		}
-	})
+	for _, n := range names {
+		m.reg.Unregister(n)
+		m.vmu.Lock()
+		delete(m.views, n)
+		m.vmu.Unlock()
+	}
 	return h, nil
 }
 
@@ -106,30 +104,25 @@ func (m *Manager) AbsorbHandover(h *Handover) error {
 // mode, seen version, and triggers. Shared by handover absorption,
 // snapshot restore, and hot-standby replication.
 func (m *Manager) installViews(views []HandoverView) error {
-	var firstErr error
-	m.structuralDo(func() {
-		for _, hv := range views {
-			val, err := trigger.Compile(hv.Validity)
-			if err != nil {
-				firstErr = fmt.Errorf("directory %s: handover validity trigger for %s: %v", m.name, hv.Name, err)
-				return
-			}
-			if err := m.reg.Register(hv.Name, hv.Props); err != nil {
-				// Already present (e.g. a replayed migration): refresh props.
-				if err := m.reg.SetProps(hv.Name, hv.Props); err != nil {
-					firstErr = fmt.Errorf("directory %s: absorb %s: %w", m.name, hv.Name, err)
-					return
-				}
-			}
-			m.reg.SetActive(hv.Name, hv.Active)
-			m.vmu.Lock()
-			m.views[hv.Name] = &viewState{
-				name: hv.Name, mode: hv.Mode, seen: hv.Seen, validity: val, lastOp: hv.Op,
-			}
-			m.vmu.Unlock()
+	for _, hv := range views {
+		val, err := trigger.Compile(hv.Validity)
+		if err != nil {
+			return fmt.Errorf("directory %s: handover validity trigger for %s: %v", m.name, hv.Name, err)
 		}
-	})
-	return firstErr
+		if err := m.reg.Register(hv.Name, hv.Props); err != nil {
+			// Already present (e.g. a replayed migration): refresh props.
+			if err := m.reg.SetProps(hv.Name, hv.Props); err != nil {
+				return fmt.Errorf("directory %s: absorb %s: %w", m.name, hv.Name, err)
+			}
+		}
+		m.reg.SetActive(hv.Name, hv.Active)
+		m.vmu.Lock()
+		m.views[hv.Name] = &viewState{
+			name: hv.Name, mode: hv.Mode, seen: hv.Seen, validity: val, lastOp: hv.Op,
+		}
+		m.vmu.Unlock()
+	}
+	return nil
 }
 
 // Absorb merges a snapshot into a live store, in contrast to Restore which
@@ -142,11 +135,11 @@ func (s *Store) Absorb(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("directory: nil snapshot")
 	}
-	defer s.lockStore()()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, r := range snap.Shadow {
-		st := s.stripeFor(r.Key)
-		if cur, ok := st.shadow[r.Key]; !ok || cur.version < r.Version {
-			st.shadow[r.Key] = shadowEntry{version: r.Version, writer: r.Writer, deleted: r.Deleted}
+		if cur, ok := s.shadow[r.Key]; !ok || cur.version < r.Version {
+			s.shadow[r.Key] = shadowEntry{version: r.Version, writer: r.Writer, deleted: r.Deleted}
 		}
 	}
 	merged := make([]UpdateRec, 0, len(s.log)+len(snap.Log))
@@ -169,9 +162,7 @@ func (s *Store) Absorb(snap *Snapshot) error {
 	merged = append(merged, snap.Log[j:]...)
 	s.log = merged
 	s.counter.AdvanceTo(snap.Version)
-	for _, st := range s.stripes {
-		st.rebuild()
-	}
+	s.rebuildDirtyLocked()
 	s.gen++
 	return nil
 }

@@ -108,20 +108,15 @@ const staleEpochMark = "stale epoch"
 // SnapshotSince captures the metadata committed strictly after since:
 // shadow records newer than since (sorted by key, so encodings are
 // deterministic) and the log tail. SnapshotSince(0) is a full snapshot.
-// In striped mode the capture quiesces in-flight lane commits (commit
-// gate, write side), so a replication batch closed at snap.Version really
-// carries every commit ≤ snap.Version — lanes drain into TReplicate
-// batches in version-counter order with no holes.
 func (s *Store) SnapshotSince(since vclock.Version) *Snapshot {
-	defer s.rlockStore()()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	snap := &Snapshot{Version: s.counter.Current()}
-	for _, st := range s.stripes {
-		for k, sh := range st.shadow {
-			if sh.version > since {
-				snap.Shadow = append(snap.Shadow, ShadowRec{
-					Key: k, Version: sh.version, Writer: sh.writer, Deleted: sh.deleted,
-				})
-			}
+	for k, sh := range s.shadow {
+		if sh.version > since {
+			snap.Shadow = append(snap.Shadow, ShadowRec{
+				Key: k, Version: sh.version, Writer: sh.writer, Deleted: sh.deleted,
+			})
 		}
 	}
 	sort.Slice(snap.Shadow, func(i, j int) bool { return snap.Shadow[i].Key < snap.Shadow[j].Key })
@@ -137,7 +132,8 @@ func (s *Store) AbsorbImage(img *image.Image) error {
 	if img == nil || img.Len() == 0 {
 		return nil
 	}
-	defer s.lockStore()()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.primary.Merge(img, img.Props); err != nil {
 		return fmt.Errorf("directory: absorb image: %w", err)
 	}
@@ -669,8 +665,11 @@ func (r *Replicator) applyAckLocked(t *replTarget, end vclock.Version, gen uint6
 			t.ackedGen = gen
 		}
 	} else {
+		// Rewind the generation too: the refused batch's state is not on
+		// the standby, so the sender must see it as unshipped again.
 		t.ackedVer = reply.Version
 		t.sentVer = reply.Version
+		t.sentGen = t.ackedGen
 	}
 	r.cond.Broadcast()
 }

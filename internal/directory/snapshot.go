@@ -42,18 +42,15 @@ type Snapshot struct {
 	Views []HandoverView
 }
 
-// Snapshot captures the store's current metadata. In striped mode it
-// quiesces in-flight commits first, so the capture is complete up to its
-// Version.
+// Snapshot captures the store's current metadata.
 func (s *Store) Snapshot() *Snapshot {
-	defer s.rlockStore()()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	snap := &Snapshot{Version: s.counter.Current()}
-	for _, st := range s.stripes {
-		for k, sh := range st.shadow {
-			snap.Shadow = append(snap.Shadow, ShadowRec{
-				Key: k, Version: sh.version, Writer: sh.writer, Deleted: sh.deleted,
-			})
-		}
+	for k, sh := range s.shadow {
+		snap.Shadow = append(snap.Shadow, ShadowRec{
+			Key: k, Version: sh.version, Writer: sh.writer, Deleted: sh.deleted,
+		})
 	}
 	snap.Log = make([]UpdateRec, len(s.log))
 	copy(snap.Log, s.log)
@@ -68,19 +65,16 @@ func (s *Store) Restore(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("directory: nil snapshot")
 	}
-	defer s.lockStore()()
-	for _, st := range s.stripes {
-		st.shadow = map[string]shadowEntry{}
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.shadow = make(map[string]shadowEntry, len(snap.Shadow))
 	for _, r := range snap.Shadow {
-		s.stripeFor(r.Key).shadow[r.Key] = shadowEntry{version: r.Version, writer: r.Writer, deleted: r.Deleted}
+		s.shadow[r.Key] = shadowEntry{version: r.Version, writer: r.Writer, deleted: r.Deleted}
 	}
 	s.log = make([]UpdateRec, len(snap.Log))
 	copy(s.log, snap.Log)
 	s.counter.AdvanceTo(snap.Version)
-	for _, st := range s.stripes {
-		st.rebuild()
-	}
+	s.rebuildDirtyLocked()
 	s.gen++
 	return nil
 }

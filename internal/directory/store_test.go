@@ -252,3 +252,100 @@ func TestStoreDeletionCommit(t *testing.T) {
 		t.Fatal("deletion should remove key from primary")
 	}
 }
+
+// countingCodec is a mapStore that counts full extracts.
+type countingCodec struct {
+	*mapStore
+	extracts int
+}
+
+func (c *countingCodec) Extract(props property.Set) (*image.Image, error) {
+	c.extracts++
+	return c.mapStore.Extract(props)
+}
+
+// countingKeyed adds keyed extraction to countingCodec, recording the
+// keys each call asked for.
+type countingKeyed struct {
+	*countingCodec
+	keyed [][]string
+}
+
+func (c *countingKeyed) ExtractKeys(props property.Set, keys []string) (*image.Image, error) {
+	c.keyed = append(c.keyed, append([]string(nil), keys...))
+	img := image.New(props.Clone())
+	for _, k := range keys {
+		if v, ok := c.data[k]; ok {
+			img.Put(image.Entry{Key: k, Value: []byte(v)})
+		}
+	}
+	return img, nil
+}
+
+// conflictingCommit seeds keys a, b, c as v1, then commits v2's delta
+// over them: a and b based on version 0 (conflicts), c based on v1's
+// version (fresh) and d new. It returns the "ours" side of every
+// conflict the resolver saw (nil resolver when resolve is false).
+func conflictingCommit(t *testing.T, codec image.Codec, resolve bool) []image.Entry {
+	t.Helper()
+	st := NewStore(codec, vclock.NewSim())
+	var ours []image.Entry
+	if resolve {
+		st.SetResolver(func(c image.Conflict) (image.Entry, error) {
+			ours = append(ours, c.Ours)
+			return c.Theirs, nil
+		})
+	}
+	v1, _, _, err := st.Commit("v1", delta("F={1}", "a", "a1", "b", "b1", "c", "c1"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := delta("F={1}", "a", "a2", "b", "b2", "c", "c2", "d", "d2")
+	e := d.Entries["c"]
+	e.Version = v1
+	d.Entries["c"] = e
+	_, conflicts, _, err := st.Commit("v2", d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if conflicts != 2 {
+		t.Fatalf("conflicts = %d, want 2 (a, b)", conflicts)
+	}
+	return ours
+}
+
+// TestStoreConflictKeyedExtract pins how Commit fetches the resolver's
+// "ours" side: a keyed codec is asked for exactly the conflicting keys
+// and never for a full extract; with no resolver nothing is extracted;
+// a codec without keyed extraction falls back to a full extract, and the
+// resolver sees the same "ours" either way.
+func TestStoreConflictKeyedExtract(t *testing.T) {
+	keyed := &countingKeyed{countingCodec: &countingCodec{mapStore: newMapStore()}}
+	keyedOurs := conflictingCommit(t, keyed, true)
+	if len(keyed.keyed) != 1 || fmt.Sprint(keyed.keyed[0]) != "[a b]" {
+		t.Fatalf("ExtractKeys calls = %v, want one call for [a b]", keyed.keyed)
+	}
+	if keyed.extracts != 0 {
+		t.Fatalf("keyed codec saw %d full extracts, want 0", keyed.extracts)
+	}
+
+	silent := &countingKeyed{countingCodec: &countingCodec{mapStore: newMapStore()}}
+	conflictingCommit(t, silent, false)
+	if len(silent.keyed) != 0 || silent.extracts != 0 {
+		t.Fatalf("no resolver: %d keyed and %d full extracts, want none", len(silent.keyed), silent.extracts)
+	}
+
+	full := &countingCodec{mapStore: newMapStore()}
+	fullOurs := conflictingCommit(t, full, true)
+	if full.extracts != 1 {
+		t.Fatalf("non-keyed codec saw %d full extracts, want 1", full.extracts)
+	}
+	if len(keyedOurs) != 2 || fmt.Sprintf("%+v", keyedOurs) != fmt.Sprintf("%+v", fullOurs) {
+		t.Fatalf("resolver ours differ: keyed %+v, full %+v", keyedOurs, fullOurs)
+	}
+	for _, o := range keyedOurs {
+		if o.Version != 1 || o.Writer != "v1" || string(o.Value) != o.Key+"1" {
+			t.Fatalf("ours = %+v, want v1's value at version 1", o)
+		}
+	}
+}

@@ -8,8 +8,7 @@ import (
 )
 
 // TestEpochBumps pins which mutations are structural (bump the epoch,
-// invalidating cached conflict sets and the directory's lane map) and
-// which are not.
+// invalidating cached conflict sets) and which are not.
 func TestEpochBumps(t *testing.T) {
 	r := New()
 	e := r.Epoch()

@@ -90,8 +90,8 @@ type Registry struct {
 	// conflict set (register, unregister, property changes, lost
 	// transitions, static-matrix and default-relation edits). Activity
 	// flips do NOT bump it — they are per-query filters, not structure.
-	// Cached conflict sets and the directory's lane map are keyed by it:
-	// an unchanged epoch proves a cached answer is still exact.
+	// Cached conflict sets are keyed by it: an unchanged epoch proves a
+	// cached answer is still exact.
 	epoch uint64
 	// cmu guards confCache independently of r.mu so a read-locked query
 	// can still fill the cache.
@@ -121,8 +121,8 @@ func New() *Registry {
 }
 
 // Epoch returns the structural-mutation epoch. Callers that cache
-// anything derived from conflict sets (the directory's lane map, the
-// per-view conflict-set cache) revalidate against it.
+// anything derived from conflict sets (the per-view conflict-set cache)
+// revalidate against it.
 func (r *Registry) Epoch() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
